@@ -4,7 +4,7 @@ package analysis
 // AST walkers first, then the v2 dataflow analyzers.
 func All() []*Analyzer {
 	return []*Analyzer{Determinism, Aliasing, Lockcheck, Tracecheck,
-		Poolcheck, Shardcheck, Auditcheck}
+		Poolcheck, Auditcheck}
 }
 
 // ByName returns the analyzer with the given rule name, or nil.

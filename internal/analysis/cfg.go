@@ -1,7 +1,7 @@
 package analysis
 
 // Control-flow graph construction over go/ast, the substrate of the v2
-// dataflow analyzers (poolcheck, shardcheck, auditcheck). The graph is
+// dataflow analyzers (poolcheck, auditcheck). The graph is
 // intraprocedural and deliberately simple: basic blocks hold "simple"
 // statements and the expressions of branch conditions, in evaluation
 // order; compound statements (if/for/range/switch/select) contribute

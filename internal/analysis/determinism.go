@@ -37,11 +37,9 @@ var globalRandFuncs = map[string]bool{
 //     to a slice, sends on a channel, or feeds the trace/metrics layer —
 //     the exact shape of the ftl.DrainPending bug PR 2 fixed, where map
 //     iteration order leaked into the simulated command schedule, and
-//   - in simulation packages, `for range` over a map whose body schedules
-//     through the event kernel (sim.At/After/AtRecord/AfterRecord, the
-//     sharded engine's Send/SendEvent, or a Lanes.Post) — event sequence
-//     numbers are assigned at scheduling time, so map order would decide
-//     FIFO tiebreaks and shard-merge order.
+//   - in simulation packages, `for range` over a map whose body posts
+//     work to a sim.Lanes FIFO worker — lanes execute in post order, so
+//     map order would decide the per-chip op sequence.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "flag wall-clock reads, global math/rand, and order-sensitive map iteration " +
@@ -65,17 +63,6 @@ func runDeterminism(pass *Pass) error {
 		})
 	}
 	return nil
-}
-
-// schedulingSinks are the sim-package entry points that assign event
-// ordering at call time: same-timestamp events fire in scheduling order
-// (seq), staged cross-shard sends merge by per-source sequence, and
-// Lanes.Post enqueues into a FIFO worker. Reaching any of them from a
-// map range makes the map's iteration order part of the simulated
-// schedule.
-var schedulingSinks = map[string]bool{
-	"At": true, "After": true, "AtRecord": true, "AfterRecord": true,
-	"Send": true, "SendEvent": true, "Post": true,
 }
 
 // sortFuncs are the sort/slices entry points that normalize order.
@@ -179,11 +166,10 @@ func checkMapRange(pass *Pass, file *ast.File, rng *ast.RangeStmt) {
 							"deterministic across runs", name, fn.Name(), pass.Fset.Position(n.Pos()))
 					return false
 				}
-				if fn.Pkg().Name() == "sim" && schedulingSinks[fn.Name()] {
+				if fn.Pkg().Name() == "sim" && fn.Name() == "Post" {
 					pass.Reportf(rng.For,
-						"map iteration order feeds the event queue via sim.%s at %s: event sequence "+
-							"numbers are assigned at scheduling time, so iterate a sorted key slice",
-						fn.Name(), pass.Fset.Position(n.Pos()))
+						"map iteration order feeds a lane queue via sim.Post at %s: lanes execute "+
+							"in post order, so iterate a sorted key slice", pass.Fset.Position(n.Pos()))
 					return false
 				}
 			}

@@ -1,8 +1,8 @@
 // Package prof wires the standard runtime/pprof file profiles into the
 // cmd tools so performance regressions can be diagnosed without editing
-// code: pass -cpuprofile/-memprofile (and, for contention hunting in the
-// sharded engine, -mutexprofile/-blockprofile) and feed the files to
-// `go tool pprof`.
+// code: pass -cpuprofile/-memprofile (and, for contention hunting in
+// the channel-sharded device mode, -mutexprofile/-blockprofile) and feed
+// the files to `go tool pprof`.
 package prof
 
 import (

@@ -1,30 +1,15 @@
 package sim
 
-// Typed event records. A closure scheduled through Engine.At allocates:
-// the func value plus its captured variables escape to the heap on every
-// call, which dominates the kernel's steady-state completion loop
-// (program / read / pLock completions all capture a chip, an address and
-// a deadline). A Record carries the same payload by value inside the
-// queue entry and dispatches through a per-kind jump table, so the hot
-// loop schedules and fires at 0 allocs/op — proven by
-// BenchmarkEventKernel the way BenchmarkFlashOps proved the NAND scratch
-// reuse. The closure API stays for cold callers.
-
-// OpKind identifies the handler a Record dispatches to. Kind 0 is
-// reserved as "invalid" so a zero Record can never silently dispatch.
+// OpKind identifies which operation a Record carries. Kind 0 is
+// reserved as "invalid" so a zero Record never looks like a real op.
 type OpKind uint8
 
-// MaxOpKinds bounds the jump table. Kinds are small dense integers
-// assigned by each subsystem (the SSD's deferred chip-op executor uses
-// ~10 of them).
-const MaxOpKinds = 64
-
-// Record is a typed event payload. The fields are deliberately generic —
-// a coordinate tuple, two scalars and two optional vectors — so one
-// struct shape covers every op in the device model without per-op
-// allocation. Unused fields are simply zero. The vectors (Data, Slots)
-// follow free-list discipline when performance matters: take from a
-// Pool, hand to the record, recycle in the handler.
+// Record is the unit of work a Lanes worker executes, carried by value.
+// The fields are deliberately generic — a coordinate tuple, two scalars
+// and two optional vectors — so one struct shape covers every op in the
+// device model without per-op allocation. Unused fields are simply
+// zero. The vectors (Data, Slots) follow free-list discipline: take
+// from a Pool, hand to the record, recycle in the lane worker.
 type Record struct {
 	Kind OpKind
 
@@ -47,47 +32,6 @@ type Record struct {
 	// packed page ids for multi-plane groups).
 	Slots []int32
 }
-
-// Handler executes a Record when its event fires. The engine passes
-// itself so handlers can schedule follow-up events.
-type Handler func(*Engine, Record)
-
-// Register installs the handler for kind. Registering kind 0, an
-// out-of-range kind, or re-registering a kind panics: the jump table is
-// fixed wiring, not a dynamic dispatch surface.
-func (e *Engine) Register(kind OpKind, h Handler) {
-	if kind == 0 || kind >= MaxOpKinds {
-		panic("sim: Register: op kind out of range")
-	}
-	if h == nil {
-		panic("sim: Register: nil handler")
-	}
-	if e.handlers[kind] != nil {
-		panic("sim: Register: op kind already registered")
-	}
-	e.handlers[kind] = h
-}
-
-// AtRecord schedules a typed record to dispatch at absolute time t, with
-// the same clamp semantics as At. The record is copied by value into the
-// queue: no allocation.
-func (e *Engine) AtRecord(t Micros, r Record) {
-	if r.Kind == 0 || r.Kind >= MaxOpKinds {
-		panic("sim: AtRecord: op kind out of range")
-	}
-	if t < e.now {
-		e.clamped++
-		if e.OnClamp != nil {
-			e.OnClamp(t, e.now)
-		}
-		t = e.now
-	}
-	e.seq++
-	e.queue.push(scheduledEvent{at: t, seq: e.seq, rec: r})
-}
-
-// AfterRecord schedules a typed record d microseconds from now.
-func (e *Engine) AfterRecord(d Micros, r Record) { e.AtRecord(e.now+d, r) }
 
 // BytePool is a fixed-capacity free list of byte slices for Record.Data
 // payloads. Get returns a zero-length slice with at least the configured

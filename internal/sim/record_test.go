@@ -1,118 +1,6 @@
 package sim
 
-import (
-	"testing"
-)
-
-const (
-	testKindTick OpKind = 1 + iota
-	testKindTock
-)
-
-func TestRecordDispatchInterleavesWithClosures(t *testing.T) {
-	e := NewEngine()
-	var got []string
-	e.Register(testKindTick, func(e *Engine, r Record) {
-		got = append(got, "tick")
-		if r.Chip != 3 || r.Block != 7 || r.Aux != int64(e.Now()) {
-			t.Fatalf("payload mangled: %+v at %v", r, e.Now())
-		}
-	})
-	e.Register(testKindTock, func(e *Engine, r Record) {
-		got = append(got, "tock")
-	})
-	e.AtRecord(10, Record{Kind: testKindTick, Chip: 3, Block: 7, Aux: 10})
-	e.At(10, func(*Engine) { got = append(got, "closure") })
-	e.AfterRecord(20, Record{Kind: testKindTock})
-	e.Run()
-	want := []string{"tick", "closure", "tock"}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	if e.Fired() != 3 {
-		t.Fatalf("Fired = %d, want 3", e.Fired())
-	}
-}
-
-func TestRecordClampSemantics(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	e.Register(testKindTick, func(e *Engine, r Record) { ran = true })
-	e.At(50, func(*Engine) {})
-	e.Run()
-	e.AtRecord(10, Record{Kind: testKindTick}) // past: clamps to 50
-	if e.Clamped() != 1 {
-		t.Fatalf("Clamped = %d, want 1", e.Clamped())
-	}
-	e.Step()
-	if !ran || e.Now() != 50 {
-		t.Fatalf("ran=%v now=%v, want true, 50", ran, e.Now())
-	}
-}
-
-func TestRecordDispatchPanicsWithoutHandler(t *testing.T) {
-	e := NewEngine()
-	e.AtRecord(0, Record{Kind: 9})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("dispatching an unregistered kind did not panic")
-		}
-	}()
-	e.Step()
-}
-
-func TestRegisterGuards(t *testing.T) {
-	e := NewEngine()
-	e.Register(testKindTick, func(*Engine, Record) {})
-	for name, fn := range map[string]func(){
-		"re-register": func() { e.Register(testKindTick, func(*Engine, Record) {}) },
-		"kind zero":   func() { e.Register(0, func(*Engine, Record) {}) },
-		"kind range":  func() { e.Register(MaxOpKinds, func(*Engine, Record) {}) },
-		"nil handler": func() { e.Register(testKindTock, nil) },
-		"at kind 0":   func() { e.AtRecord(0, Record{}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-// TestRecordSteadyStateZeroAllocs is the in-package half of the
-// BenchmarkEventKernel claim: once the queue storage is warm, a
-// schedule→dispatch→reschedule completion loop allocates nothing.
-func TestRecordSteadyStateZeroAllocs(t *testing.T) {
-	e := NewEngine()
-	e.Register(testKindTick, func(e *Engine, r Record) {
-		if r.Aux > 0 {
-			e.AfterRecord(Micros(70+r.Chip%16), Record{Kind: testKindTick, Chip: r.Chip, Aux: r.Aux - 1})
-		}
-	})
-	// Warm: seed 64 in-flight completion chains and let slices size up.
-	for i := int32(0); i < 64; i++ {
-		e.AfterRecord(Micros(i), Record{Kind: testKindTick, Chip: i, Aux: 100})
-	}
-	for e.Pending() > 8 {
-		e.Step()
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		e.AfterRecord(80, Record{Kind: testKindTick, Chip: 1, Aux: 3})
-		for e.Step() {
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state record loop allocates %.1f/op, want 0", allocs)
-	}
-}
+import "testing"
 
 func TestBytePoolAndSlotPoolRecycle(t *testing.T) {
 	bp := NewBytePool(2, 8)
